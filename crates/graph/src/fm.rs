@@ -1,9 +1,16 @@
-//! Fiduccia–Mattheyses boundary refinement for bisections.
+//! Boundary Fiduccia–Mattheyses refinement for bisections.
 //!
 //! Used at every level of the multilevel bisection (the RB building
-//! block). Minimizes the *weighted* edgecut subject to the balance caps;
-//! zero-gain moves that improve balance are kept, so the refinement also
-//! acts as the balancer after uncoarsening projections.
+//! block), for the initial-partition polish and for the coarsest-level
+//! refinement. Minimizes the *weighted* edgecut subject to the balance
+//! caps; zero-gain moves that improve balance are kept, so the
+//! refinement also acts as the balancer after uncoarsening projections.
+//!
+//! Each pass follows METIS 5's `FM_2WayCutRefine`: the gain heap is
+//! seeded with the boundary vertices only (those with a neighbour on the
+//! other side), the neighbours of every moved vertex are re-queued, and
+//! the pass ends after a bounded run of moves that fail to beat the best
+//! prefix seen so far. The moves past that best prefix are then undone.
 
 use crate::csr::CsrGraph;
 use std::collections::BinaryHeap;
@@ -55,19 +62,22 @@ pub fn cut_weight_2way(g: &CsrGraph, parts: &[u32]) -> u64 {
     cut
 }
 
-/// The FM gain of moving `v` to the other side: (external − internal)
-/// incident edge weight.
-fn gain_of(g: &CsrGraph, parts: &[u32], v: usize) -> i64 {
+/// The FM gain of moving `v` to the other side, (external − internal)
+/// incident edge weight, and whether `v` has any neighbour on the other
+/// side (is a boundary vertex).
+fn gain_of(g: &CsrGraph, parts: &[u32], v: usize) -> (i64, bool) {
     let pv = parts[v];
     let mut gain = 0i64;
+    let mut boundary = false;
     for (n, w) in g.neighbors(v) {
         if parts[n] == pv {
             gain -= w as i64;
         } else {
             gain += w as i64;
+            boundary = true;
         }
     }
-    gain
+    (gain, boundary)
 }
 
 /// Run up to `passes` FM passes over a 2-way partition, in place.
@@ -105,7 +115,7 @@ fn rebalance(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64; 2], t: &Bisect
                 if parts[v] as usize != from {
                     continue;
                 }
-                let gain = gain_of(g, parts, v);
+                let (gain, _) = gain_of(g, parts, v);
                 if best.is_none_or(|(bg, _)| gain > bg) {
                     best = Some((gain, v));
                 }
@@ -118,15 +128,24 @@ fn rebalance(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64; 2], t: &Bisect
     }
 }
 
-/// One FM pass. Returns whether the pass improved (cut, balance).
+/// One boundary FM pass. Returns whether the pass improved (cut, balance).
 fn fm_pass(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64; 2], t: &BisectTargets) -> bool {
     let nv = g.nv();
-    let mut gain: Vec<i64> = (0..nv).map(|v| gain_of(g, parts, v)).collect();
+    let mut gain = vec![0i64; nv];
     let mut locked = vec![false; nv];
-    let mut heap: BinaryHeap<(i64, u32)> = (0..nv as u32).map(|v| (gain[v as usize], v)).collect();
-
-    // Move log and best prefix.
+    let mut heap = BinaryHeap::new();
     let mut moves: Vec<u32> = Vec::new();
+    for (v, gv) in gain.iter_mut().enumerate() {
+        let (gain_v, boundary) = gain_of(g, parts, v);
+        *gv = gain_v;
+        if boundary {
+            heap.push((gain_v, v as u32));
+        }
+    }
+
+    // How many moves in a row may fail to beat the best prefix before the
+    // pass ends: the `limit` of METIS 5's `FM_2WayCutRefine` (libmetis/fm.c).
+    let limit = (nv / 100).clamp(15, 100);
     let mut cum: i64 = 0;
     let balance_dist =
         |w: &[u64; 2]| (w[0] as i64 - t.t0 as i64).abs() + (w[1] as i64 - t.t1 as i64).abs();
@@ -154,11 +173,13 @@ fn fm_pass(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64; 2], t: &BisectTa
         let dist = balance_dist(weights);
         if cum > best.0 || (cum == best.0 && dist < best.1) {
             best = (cum, dist, moves.len());
+        } else if moves.len() - best.2 > limit {
+            break;
         }
 
         for (n, _) in g.neighbors(v) {
             if !locked[n] {
-                gain[n] = gain_of(g, parts, n);
+                gain[n] = gain_of(g, parts, n).0;
                 heap.push((gain[n], n as u32));
             }
         }

@@ -1,6 +1,7 @@
 //! Property-based tests for the multilevel partitioner on random graphs.
 
 use cubesfc_graph::coarsen::{coarsen, contract, heavy_edge_matching};
+use cubesfc_graph::fm::{cut_weight_2way, fm_refine, BisectTargets};
 use cubesfc_graph::metrics::{edgecut, load_balance, metis_volume, partition_stats};
 use cubesfc_graph::partition::PartitionConfig;
 use cubesfc_graph::{kway, kway_volume, recursive_bisection, CsrGraph, SplitMix64};
@@ -214,5 +215,71 @@ proptest! {
             &cubesfc_graph::Partition::new(2, fine),
         );
         prop_assert_eq!(coarse_cut, fine_cut);
+    }
+}
+
+/// A random connected graph with vertex weights in `1..=4`, a 2-way
+/// split of it and the bisection targets for a random part-0 share.
+///
+/// Half the splits are coin flips, which often break the caps. The other
+/// half put a random-order prefix of weight at most `t0` on side 0, which
+/// always lands within them.
+fn arb_bisection() -> impl Strategy<Value = (CsrGraph, Vec<u32>, BisectTargets)> {
+    (arb_graph(), any::<u64>(), 0.2f64..0.8, any::<bool>()).prop_map(
+        |(mut g, seed, frac0, feasible)| {
+            let mut rng = SplitMix64::new(seed);
+            for w in g.vwgt.iter_mut() {
+                *w = 1 + rng.below(4) as u32;
+            }
+            let total = g.total_vwgt();
+            let t0 = (total as f64 * frac0).round() as u64;
+            let targets = BisectTargets::with_ub(t0, total - t0, 1.03, g.max_vwgt());
+            let parts = if feasible {
+                let mut parts = vec![1u32; g.nv()];
+                let mut w0 = 0u64;
+                for v in rng.permutation(g.nv()) {
+                    let wv = g.vwgt[v as usize] as u64;
+                    if w0 + wv <= t0 {
+                        parts[v as usize] = 0;
+                        w0 += wv;
+                    }
+                }
+                parts
+            } else {
+                (0..g.nv()).map(|_| rng.below(2) as u32).collect()
+            };
+            (g, parts, targets)
+        },
+    )
+}
+
+fn side_weights(g: &CsrGraph, parts: &[u32]) -> [u64; 2] {
+    let mut w = [0u64; 2];
+    for (v, &p) in parts.iter().enumerate() {
+        w[p as usize] += g.vwgt[v] as u64;
+    }
+    w
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fm_refine_keeps_its_contract(
+        case in arb_bisection(),
+        passes in 1usize..9,
+    ) {
+        let (g, input, t) = case;
+        let mut parts = input.clone();
+        let cut = fm_refine(&g, &mut parts, &t, passes);
+        prop_assert_eq!(cut, cut_weight_2way(&g, &parts));
+
+        let w = side_weights(&g, &parts);
+        prop_assert!(w[0] <= t.cap0 && w[1] <= t.cap1, "weights {:?} targets {:?}", w, t);
+
+        let w_in = side_weights(&g, &input);
+        if w_in[0] <= t.cap0 && w_in[1] <= t.cap1 {
+            prop_assert!(cut <= cut_weight_2way(&g, &input));
+        }
     }
 }

@@ -83,7 +83,9 @@ fn pinned_amr_replay_meets_acceptance_criteria() {
     // 7785 before the nearest-boundary split rule; the unbiased cuts
     // track the moving load with slightly less migration.
     assert_eq!(sfc.total_moved_elems(), 7746);
-    assert_eq!(kway.total_moved_elems(), 35875);
+    // 35875 before boundary FM with the METIS move limit; the KWAY
+    // recomputes land on slightly different cuts.
+    assert_eq!(kway.total_moved_elems(), 35878);
 
     // Criterion 1: per-step LB of the incremental SFC within 0.10 of
     // the recompute baseline.
