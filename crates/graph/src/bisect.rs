@@ -7,8 +7,8 @@
 
 use crate::coarsen::coarsen;
 use crate::csr::CsrGraph;
-use crate::fm::{fm_refine, BisectTargets};
-use crate::initial::greedy_graph_growing;
+use crate::fm::{fm_refine_with, BisectTargets, FmScratch};
+use crate::initial::greedy_graph_growing_with;
 use crate::partition::{Partition, PartitionConfig};
 use crate::rng::SplitMix64;
 
@@ -30,21 +30,27 @@ pub fn multilevel_bisect(
     let levels = coarsen(g, cfg.coarsen_to.max(32), rng);
     let coarsest = levels.last().map(|l| &l.graph).unwrap_or(g);
 
+    // One set of FM buffers serves the initial tries and every level.
+    let mut fm = FmScratch::default();
     let targets = BisectTargets::with_ub(t0, t1, cfg.ub_factor, coarsest.max_vwgt());
-    let mut parts = greedy_graph_growing(coarsest, &targets, cfg.init_tries, rng);
-    fm_refine(coarsest, &mut parts, &targets, cfg.refine_passes);
+    let mut parts = greedy_graph_growing_with(coarsest, &targets, cfg.init_tries, rng, &mut fm);
+    fm_refine_with(coarsest, &mut parts, &targets, cfg.refine_passes, &mut fm);
 
     // Uncoarsen: project through each level, refining as we go.
+    let mut fine_parts = Vec::new();
     for li in (0..levels.len()).rev() {
         let fine_graph = if li == 0 { g } else { &levels[li - 1].graph };
-        let cmap = &levels[li].cmap;
-        let mut fine_parts = vec![0u32; fine_graph.nv()];
-        for (v, &c) in cmap.iter().enumerate() {
-            fine_parts[v] = parts[c as usize];
-        }
+        fine_parts.clear();
+        fine_parts.extend(levels[li].cmap.iter().map(|&c| parts[c as usize]));
         let targets = BisectTargets::with_ub(t0, t1, cfg.ub_factor, fine_graph.max_vwgt());
-        fm_refine(fine_graph, &mut fine_parts, &targets, cfg.refine_passes);
-        parts = fine_parts;
+        fm_refine_with(
+            fine_graph,
+            &mut fine_parts,
+            &targets,
+            cfg.refine_passes,
+            &mut fm,
+        );
+        std::mem::swap(&mut parts, &mut fine_parts);
     }
     parts
 }
@@ -125,7 +131,7 @@ fn rb_recurse(
         // paper's one-element-per-processor runs).
         return verts.iter().map(|&v| (v, lo as u32)).collect();
     }
-    let (sub, map) = g.subgraph(verts);
+    let sub = g.subgraph(verts);
     let k0 = k / 2;
     let frac0 = k0 as f64 / k as f64;
     // Per-level balance must be tight: deviations compound multiplicatively
@@ -143,9 +149,9 @@ fn rb_recurse(
     let mut side1 = Vec::new();
     for (l, &p) in parts.iter().enumerate() {
         if p == 0 {
-            side0.push(map[l]);
+            side0.push(verts[l]);
         } else {
-            side1.push(map[l]);
+            side1.push(verts[l]);
         }
     }
     let recurse0 = || rb_recurse(g, &side0, lo, k0, cfg, path << 1, parallel);

@@ -63,21 +63,25 @@ pub fn contract(g: &CsrGraph, mate: &[u32]) -> CoarseLevel {
     let mut xadj = Vec::with_capacity(ncs + 1);
     let mut adjncy: Vec<u32> = Vec::new();
     let mut adjwgt: Vec<u32> = Vec::new();
-    let mut vwgt = vec![0u32; ncs];
+    let mut vwgt = Vec::with_capacity(ncs);
     // Scratch accumulator: position of coarse neighbour in the current row.
     let mut pos = vec![u32::MAX; ncs];
     xadj.push(0u32);
 
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); ncs];
+    // Coarse vertex `c` is its first fine vertex `v` (in id order) plus
+    // `v`'s mate, which therefore has the higher id.
     for v in 0..nv {
-        members[cmap[v] as usize].push(v as u32);
-    }
-
-    for (c, mem) in members.iter().enumerate() {
+        let m = mate[v] as usize;
+        if m < v {
+            continue;
+        }
+        debug_assert_eq!(mate[m] as usize, v, "mate is not an involution");
+        let c = cmap[v] as usize;
         let row_start = adjncy.len();
-        for &v in mem {
-            vwgt[c] += g.vwgt[v as usize];
-            for (n, w) in g.neighbors(v as usize) {
+        let mut weight = 0u32;
+        for u in std::iter::once(v).chain((m != v).then_some(m)) {
+            weight += g.vwgt[u];
+            for (n, w) in g.neighbors(u) {
                 let cn = cmap[n];
                 if cn as usize == c {
                     continue; // internal edge disappears
@@ -91,6 +95,7 @@ pub fn contract(g: &CsrGraph, mate: &[u32]) -> CoarseLevel {
                 }
             }
         }
+        vwgt.push(weight);
         for &n in &adjncy[row_start..] {
             pos[n as usize] = u32::MAX;
         }

@@ -197,8 +197,8 @@ impl CsrGraph {
 
     /// Extract the induced subgraph on `verts` (which must be distinct).
     ///
-    /// Returns the subgraph and the mapping `local -> global`.
-    pub fn subgraph(&self, verts: &[u32]) -> (CsrGraph, Vec<u32>) {
+    /// Local vertex `l` of the subgraph is global vertex `verts[l]`.
+    pub fn subgraph(&self, verts: &[u32]) -> CsrGraph {
         let mut global_to_local = vec![u32::MAX; self.nv()];
         for (l, &g) in verts.iter().enumerate() {
             debug_assert_eq!(global_to_local[g as usize], u32::MAX);
@@ -220,15 +220,12 @@ impl CsrGraph {
             }
             xadj.push(adjncy.len() as u32);
         }
-        (
-            CsrGraph {
-                xadj,
-                adjncy,
-                adjwgt,
-                vwgt,
-            },
-            verts.to_vec(),
-        )
+        CsrGraph {
+            xadj,
+            adjncy,
+            adjwgt,
+            vwgt,
+        }
     }
 }
 
@@ -295,10 +292,9 @@ mod tests {
     #[test]
     fn subgraph_extraction() {
         let g = cycle4();
-        let (s, map) = g.subgraph(&[0, 1]);
+        let s = g.subgraph(&[0, 1]);
         assert_eq!(s.nv(), 2);
         assert_eq!(s.ne(), 1); // only the 0-1 edge survives
-        assert_eq!(map, vec![0, 1]);
         s.validate().unwrap();
     }
 
@@ -306,7 +302,7 @@ mod tests {
     fn subgraph_preserves_weights() {
         let mut g = cycle4();
         g.vwgt = vec![5, 6, 7, 8];
-        let (s, _) = g.subgraph(&[2, 3]);
+        let s = g.subgraph(&[2, 3]);
         assert_eq!(s.vwgt, vec![7, 8]);
     }
 

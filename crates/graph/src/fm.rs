@@ -11,9 +11,31 @@
 //! other side), the neighbours of every moved vertex are re-queued, and
 //! the pass ends after a bounded run of moves that fail to beat the best
 //! prefix seen so far. The moves past that best prefix are then undone.
+//!
+//! The bookkeeping is incremental. One sweep at the start of a pass gives
+//! every vertex's gain and the cut the pass starts from. A move flips each
+//! incident edge of weight w between internal and external, so every
+//! unlocked neighbour's gain shifts by ±2w instead of being recomputed,
+//! and the returned cut is the starting cut minus the kept prefix's gain,
+//! with no closing O(E) scan (debug builds still check it against one).
+//!
+//! The gain heap is an indexed max-heap keyed by `(gain, vertex)` with one
+//! entry per vertex (`gain_heap.rs`). It pops in exactly the order of a
+//! lazy-deletion `BinaryHeap<(gain, vertex)>` that skips stale entries on
+//! pop. FM pushes a vertex every time its gain changes, so a live lazy
+//! entry always carries the vertex's current gain, and a vertex has one
+//! exactly when it has been pushed since it was last popped. (An exact
+//! duplicate of a popped entry is always skipped: either its vertex moved
+//! and is locked, or it pops right after its twin with nothing changed and
+//! is still infeasible.) That is the indexed heap's membership rule, and
+//! both heaps order by the same key, ties going to the larger vertex id.
+//! Bucket gain lists, METIS's structure here, were not used: they break
+//! ties by insertion order, which changes the moves and with them the
+//! partitions. The buffers live in an `FmScratch` that one multilevel
+//! bisection reuses for all its tries and levels.
 
 use crate::csr::CsrGraph;
-use std::collections::BinaryHeap;
+use crate::gain_heap::GainHeap;
 
 /// Weight targets and caps for a bisection.
 #[derive(Clone, Copy, Debug)]
@@ -62,22 +84,19 @@ pub fn cut_weight_2way(g: &CsrGraph, parts: &[u32]) -> u64 {
     cut
 }
 
-/// The FM gain of moving `v` to the other side, (external − internal)
-/// incident edge weight, and whether `v` has any neighbour on the other
-/// side (is a boundary vertex).
-fn gain_of(g: &CsrGraph, parts: &[u32], v: usize) -> (i64, bool) {
+/// The FM gain of moving `v` to the other side: (external − internal)
+/// incident edge weight.
+fn gain_of(g: &CsrGraph, parts: &[u32], v: usize) -> i64 {
     let pv = parts[v];
     let mut gain = 0i64;
-    let mut boundary = false;
     for (n, w) in g.neighbors(v) {
         if parts[n] == pv {
             gain -= w as i64;
         } else {
             gain += w as i64;
-            boundary = true;
         }
     }
-    (gain, boundary)
+    gain
 }
 
 /// Run up to `passes` FM passes over a 2-way partition, in place.
@@ -87,6 +106,27 @@ fn gain_of(g: &CsrGraph, parts: &[u32], v: usize) -> (i64, bool) {
 /// input violated the caps, in which case the balance is restored first
 /// at whatever cut cost is needed.
 pub fn fm_refine(g: &CsrGraph, parts: &mut [u32], targets: &BisectTargets, passes: usize) -> u64 {
+    fm_refine_with(g, parts, targets, passes, &mut FmScratch::default())
+}
+
+/// The buffers of an FM pass, kept between passes and between calls so
+/// that one multilevel bisection allocates them once.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FmScratch {
+    gain: Vec<i64>,
+    locked: Vec<bool>,
+    heap: GainHeap,
+    moves: Vec<u32>,
+}
+
+/// [`fm_refine`] on caller-owned scratch buffers.
+pub(crate) fn fm_refine_with(
+    g: &CsrGraph,
+    parts: &mut [u32],
+    targets: &BisectTargets,
+    passes: usize,
+    scratch: &mut FmScratch,
+) -> u64 {
     let _span = cubesfc_obs::span("fm");
     debug_assert_eq!(parts.len(), g.nv());
     let mut weights = [0u64; 2];
@@ -96,12 +136,17 @@ pub fn fm_refine(g: &CsrGraph, parts: &mut [u32], targets: &BisectTargets, passe
 
     rebalance(g, parts, &mut weights, targets);
 
+    let mut cut = None;
     for _ in 0..passes {
-        if !fm_pass(g, parts, &mut weights, targets) {
+        let (after, improved) = fm_pass(g, parts, &mut weights, targets, scratch);
+        cut = Some(after);
+        if !improved {
             break;
         }
     }
-    cut_weight_2way(g, parts)
+    let cut = cut.unwrap_or_else(|| cut_weight_2way(g, parts));
+    debug_assert_eq!(cut, cut_weight_2way(g, parts));
+    cut
 }
 
 /// Force the partition back under its caps with minimum-damage moves.
@@ -115,7 +160,7 @@ fn rebalance(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64; 2], t: &Bisect
                 if parts[v] as usize != from {
                     continue;
                 }
-                let (gain, _) = gain_of(g, parts, v);
+                let gain = gain_of(g, parts, v);
                 if best.is_none_or(|(bg, _)| gain > bg) {
                     best = Some((gain, v));
                 }
@@ -128,18 +173,48 @@ fn rebalance(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64; 2], t: &Bisect
     }
 }
 
-/// One boundary FM pass. Returns whether the pass improved (cut, balance).
-fn fm_pass(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64; 2], t: &BisectTargets) -> bool {
+/// One boundary FM pass. Returns the cut after the pass and whether the
+/// pass improved (cut, balance).
+fn fm_pass(
+    g: &CsrGraph,
+    parts: &mut [u32],
+    weights: &mut [u64; 2],
+    t: &BisectTargets,
+    scratch: &mut FmScratch,
+) -> (u64, bool) {
     let nv = g.nv();
-    let mut gain = vec![0i64; nv];
-    let mut locked = vec![false; nv];
-    let mut heap = BinaryHeap::new();
-    let mut moves: Vec<u32> = Vec::new();
-    for (v, gv) in gain.iter_mut().enumerate() {
-        let (gain_v, boundary) = gain_of(g, parts, v);
-        *gv = gain_v;
+    let FmScratch {
+        gain,
+        locked,
+        heap,
+        moves,
+    } = scratch;
+    gain.clear();
+    locked.clear();
+    locked.resize(nv, false);
+    moves.clear();
+    heap.reset(nv);
+    // One sweep gives every vertex's gain, seeds the heap with the
+    // boundary, and counts the cut the pass starts from.
+    let mut cut = 0u64;
+    for v in 0..nv {
+        let pv = parts[v];
+        let mut gain_v = 0i64;
+        let mut boundary = false;
+        for (n, w) in g.neighbors(v) {
+            if parts[n] == pv {
+                gain_v -= w as i64;
+            } else {
+                gain_v += w as i64;
+                boundary = true;
+                if n > v {
+                    cut += w as u64;
+                }
+            }
+        }
+        gain.push(gain_v);
         if boundary {
-            heap.push((gain_v, v as u32));
+            heap.push(v as u32, gain_v);
         }
     }
 
@@ -151,11 +226,9 @@ fn fm_pass(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64; 2], t: &BisectTa
         |w: &[u64; 2]| (w[0] as i64 - t.t0 as i64).abs() + (w[1] as i64 - t.t1 as i64).abs();
     let mut best = (0i64, balance_dist(weights), 0usize); // (cum gain, dist, prefix len)
 
-    while let Some((gpop, v)) = heap.pop() {
+    while let Some((gain_v, v)) = heap.pop() {
         let v = v as usize;
-        if locked[v] || gpop != gain[v] {
-            continue; // stale entry
-        }
+        debug_assert!(!locked[v] && gain_v == gain[v]);
         let from = parts[v] as usize;
         let to = 1 - from;
         if weights[to] + g.vwgt[v] as u64 > t.cap(to) {
@@ -167,7 +240,7 @@ fn fm_pass(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64; 2], t: &BisectTa
         weights[from] -= g.vwgt[v] as u64;
         weights[to] += g.vwgt[v] as u64;
         locked[v] = true;
-        cum += gain[v];
+        cum += gain_v;
         moves.push(v as u32);
 
         let dist = balance_dist(weights);
@@ -177,10 +250,13 @@ fn fm_pass(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64; 2], t: &BisectTa
             break;
         }
 
-        for (n, _) in g.neighbors(v) {
+        // Edge (v, n) turned internal for a neighbour now on `to` and
+        // external for one still on `from`.
+        for (n, w) in g.neighbors(v) {
             if !locked[n] {
-                gain[n] = gain_of(g, parts, n).0;
-                heap.push((gain[n], n as u32));
+                let dw = 2 * w as i64;
+                gain[n] += if parts[n] as usize == to { -dw } else { dw };
+                heap.push(n as u32, gain[n]);
             }
         }
     }
@@ -195,7 +271,8 @@ fn fm_pass(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64; 2], t: &BisectTa
         weights[to] += g.vwgt[v] as u64;
     }
 
-    best.0 > 0 || (best.0 == 0 && best.2 > 0)
+    let after = (cut as i64 - best.0) as u64;
+    (after, best.0 > 0 || (best.0 == 0 && best.2 > 0))
 }
 
 #[cfg(test)]

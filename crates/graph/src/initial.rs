@@ -4,71 +4,87 @@
 //! frontier vertex whose move is cheapest (max FM gain), until part 0
 //! reaches its target weight. Several seeds are tried and the best result
 //! (after a quick FM polish) is kept.
+//!
+//! Every part-1 vertex keeps its gain toward part 0: it starts at minus
+//! the vertex's weighted degree and rises by 2w whenever a neighbour
+//! across an edge of weight w is absorbed. Picking the best frontier
+//! vertex then reads one number per vertex instead of rescanning its
+//! adjacency.
 
 use crate::csr::CsrGraph;
-use crate::fm::{fm_refine, BisectTargets};
+use crate::fm::{fm_refine_with, BisectTargets, FmScratch};
 use crate::rng::SplitMix64;
 
-/// Grow one candidate bisection from `seed`.
-fn grow_from(g: &CsrGraph, seed: usize, t0: u64) -> Vec<u32> {
-    let nv = g.nv();
-    let mut parts = vec![1u32; nv];
-    let mut w0 = 0u64;
-    let mut in_frontier = vec![false; nv];
-    let mut frontier: Vec<u32> = Vec::new();
+/// The buffers of one growth, reused by every try.
+#[derive(Default)]
+struct Growth {
+    parts: Vec<u32>,
+    /// Gain toward part 0 of every part-1 vertex.
+    gain: Vec<i64>,
+    in_frontier: Vec<bool>,
+    frontier: Vec<u32>,
+}
 
-    let absorb = |v: usize,
-                  parts: &mut Vec<u32>,
-                  frontier: &mut Vec<u32>,
-                  in_frontier: &mut Vec<bool>,
-                  w0: &mut u64| {
-        parts[v] = 0;
+impl Growth {
+    /// Move `v` into part 0 and update its part-1 neighbours.
+    fn absorb(&mut self, g: &CsrGraph, v: usize, w0: &mut u64) {
+        self.parts[v] = 0;
         *w0 += g.vwgt[v] as u64;
-        for (n, _) in g.neighbors(v) {
-            if parts[n] == 1 && !in_frontier[n] {
-                in_frontier[n] = true;
-                frontier.push(n as u32);
-            }
-        }
-    };
-
-    absorb(seed, &mut parts, &mut frontier, &mut in_frontier, &mut w0);
-    while w0 < t0 {
-        // Pick the frontier vertex with the max gain toward part 0:
-        // (weight to part 0) − (weight to part 1).
-        let mut best: Option<(i64, usize, usize)> = None; // (gain, idx, v)
-        for (idx, &fv) in frontier.iter().enumerate() {
-            let v = fv as usize;
-            if parts[v] == 0 {
-                continue; // already absorbed
-            }
-            let mut gain = 0i64;
-            for (n, w) in g.neighbors(v) {
-                if parts[n] == 0 {
-                    gain += w as i64;
-                } else {
-                    gain -= w as i64;
+        for (n, w) in g.neighbors(v) {
+            if self.parts[n] == 1 {
+                // Edge (v, n) now counts toward part 0 instead of part 1.
+                self.gain[n] += 2 * w as i64;
+                if !self.in_frontier[n] {
+                    self.in_frontier[n] = true;
+                    self.frontier.push(n as u32);
                 }
             }
-            if best.is_none_or(|(bg, _, _)| gain > bg) {
-                best = Some((gain, idx, v));
-            }
         }
-        let Some((_, idx, v)) = best else {
-            // Frontier exhausted (disconnected graph): absorb any part-1
-            // vertex to keep making progress.
-            match parts.iter().position(|&p| p == 1) {
-                Some(v) => {
-                    absorb(v, &mut parts, &mut frontier, &mut in_frontier, &mut w0);
-                    continue;
-                }
-                None => break,
-            }
-        };
-        frontier.swap_remove(idx);
-        absorb(v, &mut parts, &mut frontier, &mut in_frontier, &mut w0);
     }
-    parts
+
+    /// Grow one candidate bisection from `seed` into `self.parts`.
+    /// `start_gain` is every vertex's gain with part 0 empty.
+    fn grow_from(&mut self, g: &CsrGraph, seed: usize, t0: u64, start_gain: &[i64]) {
+        let nv = g.nv();
+        self.parts.clear();
+        self.parts.resize(nv, 1);
+        self.gain.clear();
+        self.gain.extend_from_slice(start_gain);
+        self.in_frontier.clear();
+        self.in_frontier.resize(nv, false);
+        self.frontier.clear();
+        let mut w0 = 0u64;
+
+        self.absorb(g, seed, &mut w0);
+        while w0 < t0 {
+            // Pick the frontier vertex with the max gain toward part 0:
+            // (weight to part 0) − (weight to part 1).
+            let mut best: Option<(i64, usize, usize)> = None; // (gain, idx, v)
+            for (idx, &fv) in self.frontier.iter().enumerate() {
+                let v = fv as usize;
+                if self.parts[v] == 0 {
+                    continue; // already absorbed
+                }
+                let gain = self.gain[v];
+                if best.is_none_or(|(bg, _, _)| gain > bg) {
+                    best = Some((gain, idx, v));
+                }
+            }
+            let Some((_, idx, v)) = best else {
+                // Frontier exhausted (disconnected graph): absorb any part-1
+                // vertex to keep making progress.
+                match self.parts.iter().position(|&p| p == 1) {
+                    Some(v) => {
+                        self.absorb(g, v, &mut w0);
+                        continue;
+                    }
+                    None => break,
+                }
+            };
+            self.frontier.swap_remove(idx);
+            self.absorb(g, v, &mut w0);
+        }
+    }
 }
 
 /// Produce an initial bisection with part-0 target weight `t0`.
@@ -81,16 +97,31 @@ pub fn greedy_graph_growing(
     tries: usize,
     rng: &mut SplitMix64,
 ) -> Vec<u32> {
+    greedy_graph_growing_with(g, targets, tries, rng, &mut FmScratch::default())
+}
+
+/// [`greedy_graph_growing`] polishing on caller-owned FM buffers.
+pub(crate) fn greedy_graph_growing_with(
+    g: &CsrGraph,
+    targets: &BisectTargets,
+    tries: usize,
+    rng: &mut SplitMix64,
+    fm: &mut FmScratch,
+) -> Vec<u32> {
     let _span = cubesfc_obs::span("initial");
     let nv = g.nv();
     assert!(nv > 0, "cannot bisect an empty graph");
+    let start_gain: Vec<i64> = (0..nv)
+        .map(|v| -g.neighbors(v).map(|(_, w)| w as i64).sum::<i64>())
+        .collect();
+    let mut growth = Growth::default();
     let mut best: Option<(u64, Vec<u32>)> = None;
     for _ in 0..tries.max(1) {
         let seed = rng.below(nv);
-        let mut parts = grow_from(g, seed, targets.t0);
-        let cut = fm_refine(g, &mut parts, targets, 2);
+        growth.grow_from(g, seed, targets.t0, &start_gain);
+        let cut = fm_refine_with(g, &mut growth.parts, targets, 2, fm);
         if best.as_ref().is_none_or(|(bc, _)| cut < *bc) {
-            best = Some((cut, parts));
+            best = Some((cut, growth.parts.clone()));
         }
     }
     best.unwrap().1

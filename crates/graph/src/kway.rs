@@ -101,6 +101,8 @@ pub fn kway_refine(
 pub(crate) fn rebalance_kway(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64], cap: u64) {
     let nparts = weights.len();
     let max_iters = 4 * g.nv() + 16;
+    // Scratch: connection weight of the current vertex to each part.
+    let mut conn = vec![0i64; nparts];
     for _ in 0..max_iters {
         // The heaviest over-cap part.
         let Some(from) = (0..nparts)
@@ -117,21 +119,16 @@ pub(crate) fn rebalance_kway(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64
                 continue;
             }
             let vw = g.vwgt[v] as u64;
+            for (n, w) in g.neighbors(v) {
+                conn[parts[n] as usize] += w as i64;
+            }
             // Gain toward each candidate destination.
             for to in 0..nparts {
                 if to == from || weights[to] + vw > cap.min(weights[from] - 1) {
                     // Require the move to strictly reduce the imbalance.
                     continue;
                 }
-                let mut gain = 0i64;
-                for (n, w) in g.neighbors(v) {
-                    let pn = parts[n] as usize;
-                    if pn == to {
-                        gain += w as i64;
-                    } else if pn == from {
-                        gain -= w as i64;
-                    }
-                }
+                let gain = conn[to] - conn[from];
                 let better = match best {
                     None => true,
                     Some((bg, bw, _, _)) => gain > bg || (gain == bg && weights[to] < bw),
@@ -139,6 +136,9 @@ pub(crate) fn rebalance_kway(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64
                 if better {
                     best = Some((gain, weights[to], v, to));
                 }
+            }
+            for (n, _) in g.neighbors(v) {
+                conn[parts[n] as usize] = 0;
             }
         }
         let Some((_, _, v, to)) = best else { return };

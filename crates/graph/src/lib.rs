@@ -40,6 +40,7 @@ pub mod bisect;
 pub mod coarsen;
 pub mod csr;
 pub mod fm;
+mod gain_heap;
 pub mod initial;
 pub mod kway;
 pub mod marker;
